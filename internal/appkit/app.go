@@ -52,6 +52,17 @@ type App struct {
 
 	commits     []commitHandler
 	onSoftReset []func(a *App)
+
+	// expanders lists every ExpandCollapse control the kit has built, in
+	// build order; SoftReset collapses from this registry instead of
+	// walking the trees.
+	expanders []expander
+}
+
+// expander is one registered ExpandCollapse control and its provider.
+type expander struct {
+	el *uia.Element
+	x  uia.ExpandCollapser
 }
 
 type tab struct {
@@ -251,9 +262,18 @@ func (a *App) BlocklistSize() int { return len(a.blocklist) }
 func (a *App) OnSoftReset(fn func(a *App)) { a.onSoftReset = append(a.onSoftReset, fn) }
 
 // SoftReset returns the UI to its base state without restarting the
-// application: all popups close, every context exits, and the default tab
-// activates. The ripper uses this between explorations instead of the
-// prohibitively expensive full restart (paper §4.1, access blocklist).
+// application: all popups close, every context exits, the default tab
+// activates, and every expanded ExpandCollapse control collapses. The
+// ripper uses this between explorations instead of the prohibitively
+// expensive full restart (paper §4.1, access blocklist).
+//
+// The reset never walks the window trees: it collapses the expanded
+// controls found in the registry of ExpandCollapse controls the kit built
+// (see registerExpander, a few dozen per application), so its cost follows
+// the expanded controls and the registry, not the tree. Any new ExpandCollapse provider must
+// therefore be created through appkit and registered; one attached to an
+// element by other means would survive SoftReset and break the Expander
+// contract below (TestExpanderRegistryMatchesTrees fails loudly on it).
 func (a *App) SoftReset() {
 	a.CloseAllPopups()
 	for name := range a.active {
@@ -266,27 +286,23 @@ func (a *App) SoftReset() {
 	}
 }
 
-// collapseExpandables returns every ExpandCollapse control (combo dropdowns
-// and kin) to the collapsed state. Dropdown panes are not popups, so
-// CloseAllPopups leaves their toggles alone; if that state survived
+// registerExpander records an ExpandCollapse control for SoftReset.
+func (a *App) registerExpander(el *uia.Element, x uia.ExpandCollapser) {
+	a.expanders = append(a.expanders, expander{el: el, x: x})
+}
+
+// collapseExpandables returns every expanded ExpandCollapse control (combo
+// dropdowns and kin) to the collapsed state. Dropdown panes are not popups,
+// so CloseAllPopups leaves their toggles alone; if that state survived
 // SoftReset, an expansion's differential capture would depend on the
 // instance's click-parity history, breaking the Expander contract that any
 // instance anywhere yields the same result for (context, path, control) —
 // and with it, distributed rip byte-identity and safe re-dispatch.
 func (a *App) collapseExpandables() {
-	collapse := func(root *uia.Element) {
-		root.Walk(func(e *uia.Element) bool {
-			if x, ok := e.Pattern(uia.ExpandCollapsePattern).(uia.ExpandCollapser); ok {
-				if x.ExpandState(e) == uia.Expanded {
-					_ = x.Collapse(e)
-				}
-			}
-			return true
-		})
-	}
-	collapse(a.Win)
-	for _, p := range a.popupTemplates {
-		collapse(p.Win)
+	for _, r := range a.expanders {
+		if r.x.ExpandState(r.el) == uia.Expanded {
+			_ = r.x.Collapse(r.el)
+		}
 	}
 }
 

@@ -227,6 +227,7 @@ func (p Panel) ComboBox(autoID, name string, options []string, onPick func(a *Ap
 	}
 	x := uia.NewExpand(listEl)
 	cb.SetPattern(uia.ExpandCollapsePattern, x)
+	p.App.registerExpander(cb, x)
 	cb.SetPattern(uia.ValuePattern, uia.NewValue("", nil))
 	cb.OnClick(func(e *uia.Element) {
 		if x.ExpandState(e) == uia.Expanded {

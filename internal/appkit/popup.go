@@ -131,7 +131,10 @@ func (a *App) closePopup(p *Popup, accepted bool) {
 		// Close this popup and everything above it (inner chains die with
 		// their parent). The stack is popped before OnClose hooks fire so
 		// hooks observe a consistent stack and may close further popups.
-		closed := append([]*Popup(nil), a.popups[i:]...)
+		// The copy lives on the stack for chains of typical depth, so the
+		// soft reset between rip frames does not allocate.
+		var buf [8]*Popup
+		closed := append(buf[:0], a.popups[i:]...)
 		a.popups = a.popups[:i]
 		for j := len(closed) - 1; j >= 0; j-- {
 			inner := closed[j]

@@ -29,6 +29,7 @@ type App struct {
 	gridEl    *uia.Element
 	nameBox   *uia.Element
 	dataItems map[string]*uia.Element // ref → DataItem
+	gridCells []gridCell              // every DataItem with its row, in build order
 	viewTop   int                     // first visible data row (1-based)
 	sortDlg   *appkit.Popup
 }
@@ -707,6 +708,7 @@ func (x *App) buildGrid() {
 	sel := uia.NewSelectionList(true, nil)
 	grid.SetPattern(uia.SelectionPattern, sel)
 
+	x.gridCells = make([]gridCell, 0, GridRows*GridCols)
 	for r := 1; r <= GridRows; r++ {
 		for c := 1; c <= GridCols; c++ {
 			ref := Ref(r, c)
@@ -716,6 +718,7 @@ func (x *App) buildGrid() {
 			item.OnClick(func(*uia.Element) { x.Sheet.Select(ref, ref) })
 			grid.AddChild(item)
 			x.dataItems[ref] = item
+			x.gridCells = append(x.gridCells, gridCell{item: item, row: r})
 		}
 	}
 	x.applyViewport()
@@ -774,14 +777,20 @@ func (x *App) ScrollToRow(row int) {
 // ViewTop returns the first visible data row.
 func (x *App) ViewTop() int { return x.viewTop }
 
+// gridCell is one worksheet DataItem and the row it shows, stored at build
+// so the viewport (re-applied on every soft reset) never parses references.
+type gridCell struct {
+	item *uia.Element
+	row  int
+}
+
 func (x *App) applyViewport() {
-	for ref, item := range x.dataItems {
-		r, _, _ := ParseRef(ref)
-		visible := r >= x.viewTop && r < x.viewTop+VisibleRows
-		if x.Sheet.FrozenTopRow && r == 1 {
+	for _, c := range x.gridCells {
+		visible := c.row >= x.viewTop && c.row < x.viewTop+VisibleRows
+		if x.Sheet.FrozenTopRow && c.row == 1 {
 			visible = true
 		}
-		item.SetVisible(visible)
+		c.item.SetVisible(visible)
 	}
 }
 

@@ -145,49 +145,52 @@ func (d *Desktop) RegisterKey(combo string, fn func(*Desktop) error) {
 // stacking order, advancing lazy-loading counters: an element whose
 // visibility was deferred becomes visible only after enough snapshots have
 // observed its window. The returned slice contains every on-screen element.
-func (d *Desktop) Snapshot() []*Element {
+func (d *Desktop) Snapshot() []*Element { return d.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot writing into dst's storage: dst's contents are
+// overwritten and the result is dst[:0] extended by the on-screen elements,
+// so a caller that keeps the returned slice for the next call captures with
+// no allocation once the buffer has grown to the screen's size. The clock,
+// the snapshot count and the lazy-loading countdowns advance exactly as
+// for Snapshot.
+func (d *Desktop) SnapshotInto(dst []*Element) []*Element {
 	d.clock.Advance(CostSnapshot)
 	d.snapshots++
-	var out []*Element
+	dst = dst[:0]
 	for _, w := range d.windows {
-		if !w.Visible() {
-			continue
+		if w.Visible() {
+			dst = appendOnScreen(dst, w)
 		}
-		w.Walk(func(e *Element) bool {
-			if e.deferVisible > 0 {
-				e.deferVisible--
-				return false // hidden this round, children too
-			}
-			if !e.Visible() {
-				return false
-			}
-			out = append(out, e)
-			return true
-		})
 	}
-	return out
+	return dst
 }
 
 // SnapshotWindow captures the on-screen elements of a single window.
 func (d *Desktop) SnapshotWindow(w *Element) []*Element {
 	d.clock.Advance(CostSnapshot)
 	d.snapshots++
-	var out []*Element
 	if !w.Visible() || !d.IsOpen(w) {
-		return out
+		return nil
 	}
-	w.Walk(func(e *Element) bool {
-		if e.deferVisible > 0 {
-			e.deferVisible--
-			return false
-		}
-		if !e.Visible() {
-			return false
-		}
-		out = append(out, e)
-		return true
-	})
-	return out
+	return appendOnScreen(nil, w)
+}
+
+// appendOnScreen appends e's on-screen subtree to dst in pre-order. An
+// element whose visibility is deferred consumes one countdown step and is
+// hidden this round, children too.
+func appendOnScreen(dst []*Element, e *Element) []*Element {
+	if e.deferVisible > 0 {
+		e.deferVisible--
+		return dst
+	}
+	if !e.visible {
+		return dst
+	}
+	dst = append(dst, e)
+	for _, c := range e.children {
+		dst = appendOnScreen(dst, c)
+	}
+	return dst
 }
 
 // SnapshotCount reports how many snapshots have been taken, a proxy for the

@@ -2,6 +2,7 @@ package uia
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -240,5 +241,88 @@ func TestNormalizeKey(t *testing.T) {
 		if got := normalizeKey(in); got != want {
 			t.Errorf("normalizeKey(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// deferredDesktop builds a two-window desktop whose trees hold elements with
+// deferred visibility (one a subtree root, one nested deeper, one in the
+// second window), a hidden branch, and a hidden window.
+func deferredDesktop() *Desktop {
+	d := NewDesktop()
+	w := NewElement("w", "Main", WindowControl)
+	grp := NewElement("g", "Group", GroupControl)
+	slow := NewElement("slow", "Slow", PaneControl)
+	slow.AddChild(NewElement("s1", "S1", ButtonControl))
+	slow.DeferVisibility(2)
+	deep := NewElement("deep", "Deep", ButtonControl)
+	deep.DeferVisibility(1)
+	grp.AddChild(NewElement("a", "A", ButtonControl))
+	grp.AddChild(deep)
+	hidden := NewElement("h", "Hidden", ButtonControl)
+	hidden.SetVisible(false)
+	hidden.AddChild(NewElement("u", "Under", ButtonControl))
+	w.AddChild(grp)
+	w.AddChild(slow)
+	w.AddChild(hidden)
+	d.OpenWindow(w)
+
+	pop := NewElement("p", "Popup", PaneControl)
+	late := NewElement("late", "Late", ListItemControl)
+	late.DeferVisibility(3)
+	pop.AddChild(late)
+	pop.AddChild(NewElement("b", "B", ButtonControl))
+	d.OpenWindow(pop)
+
+	off := NewElement("off", "Off", WindowControl)
+	off.SetVisible(false)
+	off.AddChild(NewElement("x", "X", ButtonControl))
+	d.OpenWindow(off)
+	return d
+}
+
+func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
+	ref, got := deferredDesktop(), deferredDesktop()
+	ids := func(els []*Element) []string {
+		out := make([]string, len(els))
+		for i, e := range els {
+			out[i] = e.ControlID()
+		}
+		return out
+	}
+	// A reused, non-empty buffer from an unrelated tree: SnapshotInto must
+	// overwrite it, not append to it.
+	stale := NewElement("stale", "Stale", ButtonControl)
+	buf := []*Element{stale, stale, stale}
+	for round := 0; round < 5; round++ {
+		want := ref.Snapshot()
+		buf = got.SnapshotInto(buf)
+		if w, g := ids(want), ids(buf); !slices.Equal(w, g) {
+			t.Fatalf("round %d: SnapshotInto = %v, Snapshot = %v", round, g, w)
+		}
+		if ref.Clock().Now() != got.Clock().Now() {
+			t.Errorf("round %d: clock %v, want %v", round, got.Clock().Now(), ref.Clock().Now())
+		}
+		if ref.SnapshotCount() != got.SnapshotCount() {
+			t.Errorf("round %d: SnapshotCount %d, want %d", round, got.SnapshotCount(), ref.SnapshotCount())
+		}
+	}
+	// The countdowns ran out in lock step: every deferred element is on
+	// screen in both by round 3, and the final captures hold them.
+	if n := len(buf); n != 9 { // w g a deep slow s1 p late b
+		t.Errorf("final capture = %d elements, want 9", n)
+	}
+
+	// Capacity is reused: a warm buffer captures in place.
+	warm := got.SnapshotInto(buf)
+	if &warm[0] != &buf[0] {
+		t.Error("SnapshotInto reallocated a buffer that had room")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { buf = got.SnapshotInto(buf) }); allocs != 0 {
+		t.Errorf("warm SnapshotInto allocates %.1f times per call, want 0", allocs)
+	}
+
+	// An empty desktop captures nothing, as Snapshot always has.
+	if out := NewDesktop().SnapshotInto(buf); len(out) != 0 {
+		t.Errorf("empty desktop: %d elements", len(out))
 	}
 }

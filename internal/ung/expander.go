@@ -75,13 +75,14 @@ func NewLocalExpander(factory func() *appkit.App, workers int) *LocalExpander {
 		go func(i int) {
 			defer le.wg.Done()
 			app := factory()
+			sc := newScratch()
 			t0 := app.Desk.Clock().Now()
 			for {
 				j, ok := le.q.pop()
 				if !ok {
 					break
 				}
-				j.done <- ExpandResult{Expansion: expand(app, j.ctx, j.f, &le.wstats[i])}
+				j.done <- ExpandResult{Expansion: expand(app, j.ctx, j.f, &le.wstats[i], sc)}
 			}
 			le.welapsed[i] = app.Desk.Clock().Now() - t0
 		}(i)

@@ -2,6 +2,7 @@ package ung
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/appkit"
@@ -110,21 +111,59 @@ type Expansion struct {
 func ExpandFrame(app *appkit.App, ctx string, f Frame) Expansion {
 	var st Stats
 	t0 := app.Desk.Clock().Now()
-	exp := expand(app, ctx, f, &st)
+	sc := scratchPool.Get().(*scratch)
+	exp := expand(app, ctx, f, &st, sc)
+	scratchPool.Put(sc)
 	exp.Clicks = st.Clicks
 	exp.Snapshots = st.Snapshots
 	exp.Elapsed = app.Desk.Clock().Now() - t0
 	return exp
 }
 
+// scratch is the working memory of one expansion: the snapshot buffer
+// (shared by replay and both captures), the before capture's ID index, and
+// the fresh set. It is reused across expansions so the steady-state rip
+// loop allocates only the reveals it returns. Scratch never escapes expand:
+// everything expand returns is a freshly allocated copy. A scratch serves
+// one expansion at a time; the sequential ripper and each LocalExpander
+// worker own one, and ExpandFrame draws from scratchPool.
+type scratch struct {
+	snap     []*uia.Element
+	before   map[string]*uia.Element // modeled control ID → first element with it
+	fresh    map[*uia.Element]bool
+	freshIDs map[string]bool
+	freshOrd []*uia.Element // fresh elements in snapshot order
+}
+
+func newScratch() *scratch {
+	return &scratch{
+		before:   make(map[string]*uia.Element),
+		fresh:    make(map[*uia.Element]bool),
+		freshIDs: make(map[string]bool),
+	}
+}
+
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
+
 // expand is ExpandFrame's body, counting instance work into st.
-func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
+func expand(app *appkit.App, ctx string, f Frame, st *Stats, sc *scratch) Expansion {
 	restore(app, ctx)
-	if !replay(app, f.Path, st) {
+	if !replay(app, f.Path, st, sc) {
 		return Expansion{Outcome: ExpandSkipped}
 	}
-	before := capture(app, st)
-	el := before.byID[f.ID]
+
+	// Before: index the modeled controls by ID. Walking the snapshot
+	// backwards, the last write per ID is its first occurrence in snapshot
+	// order — the duplicate-ID rule — at one map write per element.
+	st.Snapshots++
+	sc.snap = app.Desk.SnapshotInto(sc.snap)
+	clear(sc.before)
+	for i := len(sc.snap) - 1; i >= 0; i-- {
+		if e := sc.snap[i]; modeled(e) {
+			sc.before[e.ControlID()] = e
+		}
+	}
+	el := sc.before[f.ID]
 	if el == nil || !el.OnScreen() || !el.Enabled() {
 		return Expansion{Outcome: ExpandSkipped}
 	}
@@ -135,30 +174,43 @@ func expand(app *appkit.App, ctx string, f Frame, st *Stats) Expansion {
 		return Expansion{Outcome: ExpandSkipped}
 	}
 	st.Clicks++
-	after := capture(app, st)
+
+	// After: a modeled control is fresh when its ID is neither the clicked
+	// control's nor present before, and it is the first element with that
+	// ID (a later duplicate of a present or clicked ID is never fresh
+	// either, so only fresh IDs need a duplicate check).
+	st.Snapshots++
+	sc.snap = app.Desk.SnapshotInto(sc.snap)
+	clear(sc.fresh)
+	clear(sc.freshIDs)
+	sc.freshOrd = sc.freshOrd[:0]
+	for _, e := range sc.snap {
+		if !modeled(e) {
+			continue
+		}
+		id := e.ControlID()
+		if id == f.ID || sc.freshIDs[id] {
+			continue
+		}
+		if _, present := sc.before[id]; present {
+			continue
+		}
+		sc.freshIDs[id] = true
+		sc.fresh[e] = true
+		sc.freshOrd = append(sc.freshOrd, e)
+	}
 
 	// Newly revealed controls attach beneath their nearest newly-revealed
 	// UI ancestor; top-level reveals attach to the clicked control. This
 	// preserves structure inside popups (a shared flyout stays one subtree)
 	// while edges still denote click-induced reachability.
-	fresh := make(map[*uia.Element]bool)
-	for _, e := range after.order {
-		id := e.ControlID()
-		if id == f.ID {
-			continue
-		}
-		if _, present := before.byID[id]; present {
-			continue
-		}
-		fresh[e] = true
-	}
 	var reveals []Reveal
-	for _, e := range after.order {
-		if !fresh[e] {
-			continue
-		}
+	if len(sc.freshOrd) > 0 {
+		reveals = make([]Reveal, 0, len(sc.freshOrd))
+	}
+	for _, e := range sc.freshOrd {
 		parent := f.ID
-		if anc := nearestIn(e, fresh); anc != nil {
+		if anc := nearestIn(e, sc.fresh); anc != nil {
 			parent = anc.ControlID()
 		}
 		reveals = append(reveals, captureReveal(e, parent))
@@ -223,11 +275,11 @@ func seedContext(g *Graph, app *appkit.App, ctx string, st *Stats, push func(id 
 	restore(app, ctx)
 	snap := capture(app, st)
 	tabItem, tabPanel := app.ActiveTabInfo()
-	inSnap := make(map[*uia.Element]bool, len(snap.order))
-	for _, e := range snap.order {
+	inSnap := make(map[*uia.Element]bool, len(snap))
+	for _, e := range snap {
 		inSnap[e] = true
 	}
-	for _, e := range snap.order {
+	for _, e := range snap {
 		id := e.ControlID()
 		_, existed := g.Nodes[id]
 		g.Ensure(id, e, ctx)
@@ -273,6 +325,7 @@ func Rip(app *appkit.App, cfg Config) (*Graph, Stats, error) {
 
 	queued := make(map[string]bool)
 	var stack []Frame
+	sc := newScratch()
 
 	push := func(id string, path []string) {
 		if queued[id] {
@@ -303,7 +356,7 @@ func Rip(app *appkit.App, cfg Config) (*Graph, Stats, error) {
 				st.Skipped++
 				continue
 			}
-			exp := expand(app, ctx, f, &st)
+			exp := expand(app, ctx, f, &st, sc)
 			applyExpansion(g, cfg, ctx, f, exp, &st, push)
 		}
 	}
@@ -329,30 +382,29 @@ func nearestIn(e *uia.Element, set map[*uia.Element]bool) *uia.Element {
 	return nil
 }
 
-// snapshotIndex is one differential-capture frame.
-type snapshotIndex struct {
-	order []*uia.Element
-	byID  map[string]*uia.Element
-}
-
-func capture(app *appkit.App, st *Stats) snapshotIndex {
+// capture takes a snapshot and returns its modeled controls in snapshot
+// order, the first occurrence of each synthesized ID only.
+func capture(app *appkit.App, st *Stats) []*uia.Element {
 	st.Snapshots++
-	els := app.Desk.Snapshot()
-	idx := snapshotIndex{byID: make(map[string]*uia.Element, len(els))}
-	for _, e := range els {
-		// The desktop's window roots are containers, not controls to model.
-		if e.Parent() == nil {
+	seen := make(map[string]bool)
+	var out []*uia.Element
+	for _, e := range app.Desk.Snapshot() {
+		if !modeled(e) {
 			continue
 		}
 		id := e.ControlID()
-		if _, dup := idx.byID[id]; dup {
+		if seen[id] {
 			continue // duplicate synthesized ID: first occurrence wins
 		}
-		idx.byID[id] = e
-		idx.order = append(idx.order, e)
+		seen[id] = true
+		out = append(out, e)
 	}
-	return idx
+	return out
 }
+
+// modeled reports whether a snapshot element is a control the graph
+// models: the desktop's window roots are containers, not controls.
+func modeled(e *uia.Element) bool { return e.Parent() != nil }
 
 func restore(app *appkit.App, ctx string) {
 	app.SoftReset()
@@ -362,11 +414,20 @@ func restore(app *appkit.App, ctx string) {
 }
 
 // replay re-executes the click path; it reports false if any step's control
-// cannot be resolved in the current state.
-func replay(app *appkit.App, path []string, st *Stats) bool {
+// cannot be resolved in the current state. Each step resolves its one
+// target by scanning the snapshot in order — the first modeled element with
+// the ID, the one a capture keeps — without building an index.
+func replay(app *appkit.App, path []string, st *Stats, sc *scratch) bool {
 	for _, id := range path {
-		snap := capture(app, st)
-		el := snap.byID[id]
+		st.Snapshots++
+		sc.snap = app.Desk.SnapshotInto(sc.snap)
+		var el *uia.Element
+		for _, e := range sc.snap {
+			if modeled(e) && e.ControlID() == id {
+				el = e
+				break
+			}
+		}
 		if el == nil || !el.OnScreen() || !el.Enabled() {
 			return false
 		}
